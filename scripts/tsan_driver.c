@@ -9,6 +9,8 @@
  * operands (packed weights, column sums, bias/gamma/beta vectors).  Any
  * data race the threaded Python path could hit between kernel invocations
  * on a shared tensor is visible here; TSan aborts the run on a report.
+ * The GEMM shape has row, column and k tails, and its result is checked
+ * against a plain triple loop.
  *
  * Thread count comes from REPRO_KERNEL_THREADS (default 4).
  */
@@ -18,8 +20,9 @@
 #include <stdlib.h>
 
 int repro_gemm_impl(void);
-void repro_gemm_s8(const int8_t *a, const int8_t *bt, const int32_t *colsum,
-                   int32_t *c, int64_t m, int64_t k, int64_t n);
+void repro_gemm_s8(const int8_t *a, const int8_t *panels,
+                   const int32_t *colsum, int32_t *c, int64_t m, int64_t k,
+                   int64_t n);
 int repro_maxabs_f64(const double *x, int64_t size, double *out);
 int repro_qpack_f64(const double *x, int64_t size, double scale, int8_t *q);
 void repro_dequant_bias_f64(const int32_t *acc, double scale,
@@ -34,13 +37,15 @@ void repro_scale_affine_f64(const double *centered, const double *inv_std,
                             const double *gamma, const double *beta,
                             double *out, int64_t rows, int64_t cols);
 
-enum { M = 192, K = 128, N = 96, ITERS = 25 };
+/* M % 8, K % 4 and N % 32 are all nonzero: every GEMM tail runs. */
+enum { M = 195, K = 130, N = 100, ITERS = 25 };
+enum { KQ = (K + 3) / 4, PANELS = (N + 31) / 32 };
 
 typedef struct {
     int tid;
     int threads;
     const int8_t *a;
-    const int8_t *bt;
+    const int8_t *panels;
     const int32_t *colsum;
     int32_t *acc;
     const double *xf;
@@ -63,7 +68,7 @@ static void *worker(void *arg) {
     if (rows <= 0)
         return NULL;
     for (int iter = 0; iter < ITERS; ++iter) {
-        repro_gemm_s8(job->a + start * K, job->bt, job->colsum,
+        repro_gemm_s8(job->a + start * K, job->panels, job->colsum,
                       job->acc + start * N, rows, K, N);
         repro_dequant_bias_f64(job->acc + start * N, 0.03125, job->bias,
                                job->out + start * N, rows, N);
@@ -92,7 +97,7 @@ int main(void) {
     if (env && atoi(env) > 0)
         threads = atoi(env);
 
-    static int8_t a[M * K], bt[N * K], q[M * N];
+    static int8_t a[M * K], w[K * N], panels[PANELS * KQ * 128], q[M * N];
     static int32_t colsum[N], acc[M * N];
     static double xf[M * N], bias[N], res[M * N], inv_std[M];
     static double gamma_[N], beta_[N], out[M * N];
@@ -100,12 +105,17 @@ int main(void) {
     unsigned seed = 12345u;
     for (int i = 0; i < M * K; ++i)
         a[i] = (int8_t)((seed = seed * 1103515245u + 12345u) >> 24);
-    for (int i = 0; i < N * K; ++i)
-        bt[i] = (int8_t)((seed = seed * 1103515245u + 12345u) >> 24);
+    for (int i = 0; i < K * N; ++i)
+        w[i] = (int8_t)((seed = seed * 1103515245u + 12345u) >> 24);
+    /* The panel layout of kernels_native.c; padding stays zero. */
+    for (int kk = 0; kk < K; ++kk)
+        for (int j = 0; j < N; ++j)
+            panels[((j / 32) * KQ + kk / 4) * 128 + (j % 32) * 4 + kk % 4] =
+                w[kk * N + j];
     for (int j = 0; j < N; ++j) {
         int32_t s = 0;
         for (int kk = 0; kk < K; ++kk)
-            s += bt[j * K + kk];
+            s += w[kk * N + j];
         colsum[j] = s;
         bias[j] = 0.25 * j;
         gamma_[j] = 1.0 + 0.01 * j;
@@ -126,7 +136,7 @@ int main(void) {
         jobs[t] = (job_t){.tid = t,
                           .threads = threads,
                           .a = a,
-                          .bt = bt,
+                          .panels = panels,
                           .colsum = colsum,
                           .acc = acc,
                           .xf = xf,
@@ -152,6 +162,18 @@ int main(void) {
         fprintf(stderr, "tsan_driver: kernel reported non-finite input\n");
         return 1;
     }
+    /* Every thread's last iteration left its rows' exact GEMM in acc. */
+    for (int i = 0; i < M; ++i)
+        for (int j = 0; j < N; ++j) {
+            int32_t s = 0;
+            for (int kk = 0; kk < K; ++kk)
+                s += (int32_t)a[i * K + kk] * w[kk * N + j];
+            if (s != acc[i * N + j]) {
+                fprintf(stderr, "tsan_driver: gemm mismatch at (%d, %d)\n", i,
+                        j);
+                return 1;
+            }
+        }
     double checksum = 0.0;
     for (int i = 0; i < M * N; ++i)
         checksum += out[i];

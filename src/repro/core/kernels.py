@@ -85,9 +85,11 @@ KERNEL_NAMES: Tuple[str, ...] = ("numpy", "native")
 
 _INT8_LIMIT = 127
 #: contraction lengths beyond this could overflow the biased int32
-#: accumulation in the native GEMM (255 * 127 * k < 2**31); the packer falls
-#: back to the float64-carrier operand above it.
-_GEMM_K_MAX = (2**31 - 1) // (255 * 127)
+#: accumulation in the native GEMM: each step adds (a + 128) * w, up to
+#: 255 * 128 in magnitude because an int8 weight may be -128, so
+#: 255 * 128 * k < 2**31 must hold.  The packer falls back to the
+#: float64-carrier operand above it.
+_GEMM_K_MAX = (2**31 - 1) // (255 * 128)
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -454,28 +456,45 @@ def native_unavailable_reason() -> str | None:
 # NativeKernel
 # --------------------------------------------------------------------------- #
 class _PackedInt8Weight:
-    """Weight operand for the native int8 GEMM.
+    """Weight operand for the native int8 GEMM, in its VNNI panel layout.
 
-    Holds the transposed int8 weight (``(out, in)`` row-major, so both GEMM
-    operands stream along the contraction axis) plus the int32 column sums
-    consumed by the unsigned-offset correction.  A float64 carrier for the
-    numpy fallback path is derived lazily if ever needed.
+    The ``(k, n)`` quantised weight is packed once into ``panels``, an int8
+    array of shape ``(ceil(n/32), ceil(k/4), 32, 4)``: panel ``p`` covers
+    output columns ``32p .. 32p+31`` and holds, for every group of four
+    contraction steps ``q``, each column's four weights
+    ``w[4q .. 4q+3, 32p + c]`` side by side — the operand ``vpdpbusd``
+    consumes directly.  k is zero-padded to a multiple of 4 and n to a
+    multiple of 32.  ``colsum`` (int32, length n) feeds the kernel's
+    unsigned-offset correction.  A float64 carrier for the numpy path is
+    derived from the panels on demand.
     """
 
-    __slots__ = ("bt", "colsum", "k", "n", "_carrier")
+    __slots__ = ("panels", "colsum", "k", "n", "_carrier")
 
     def __init__(self, w_q_data: np.ndarray) -> None:
         data = np.asarray(w_q_data)
-        self.k, self.n = (int(data.shape[0]), int(data.shape[1]))
-        self.bt = np.ascontiguousarray(data.T.astype(np.int8))
-        self.colsum = np.ascontiguousarray(
-            data.sum(axis=0, dtype=np.int64).astype(np.int32)
-        )
+        k, n = self.k, self.n = (int(data.shape[0]), int(data.shape[1]))
+        kq, kt = divmod(k, 4)
+        nq, nt = divmod(n, 32)
+        self.panels = np.zeros((nq + (nt > 0), kq + (kt > 0), 32, 4), np.int8)
+        # dst[q, t, p, c] is w[4q + t, 32p + c]; the full 4 x 32 blocks move
+        # in one reshape, the k and n edges (if any) beside them.
+        dst = self.panels.transpose(1, 3, 0, 2)
+        dst[:kq, :, :nq] = data[: 4 * kq, : 32 * nq].reshape(kq, 4, nq, 32)
+        if nt:
+            dst[:kq, :, nq, :nt] = data[: 4 * kq, 32 * nq :].reshape(kq, 4, nt)
+        if kt:
+            dst[kq, :kt, :nq] = data[4 * kq :, : 32 * nq].reshape(kt, nq, 32)
+        if kt and nt:
+            dst[kq, :kt, nq, :nt] = data[4 * kq :, 32 * nq :]
+        self.colsum = data.sum(axis=0, dtype=np.int64).astype(np.int32)
         self._carrier: np.ndarray | None = None
 
     def carrier(self) -> np.ndarray:
         if self._carrier is None:
-            self._carrier = np.ascontiguousarray(self.bt.T).astype(np.float64)
+            kq, panels = self.panels.shape[1], self.panels.shape[0]
+            flat = self.panels.transpose(1, 3, 0, 2).reshape(4 * kq, 32 * panels)
+            self._carrier = flat[: self.k, : self.n].astype(np.float64)
         return self._carrier
 
 
@@ -486,10 +505,13 @@ def _ptr(arr: np.ndarray | None) -> int | None:
 class NativeKernel(ComputeKernel):
     """Compiled C fast path: true int8 GEMM + single-pass fused epilogues.
 
-    ``num_threads > 1`` parallelises the int8 GEMM and the large fused
-    epilogues over row blocks with an in-process thread pool (the C calls
-    release the GIL); results are bitwise independent of the thread count
-    because the work is row-partitioned.
+    The int8 GEMM runs over :class:`_PackedInt8Weight` panels: 8-row x
+    32-column micro-tiles accumulated in vector registers (``vpdpbusd``
+    where the CPU has AVX512-VNNI, a scalar loop over the same layout
+    otherwise).  ``num_threads > 1`` parallelises the int8 GEMM and the
+    large fused epilogues over row blocks with an in-process thread pool
+    (the C calls release the GIL); results are bitwise independent of the
+    thread count because the work is row-partitioned.
     """
 
     name = "native"
@@ -557,18 +579,24 @@ class NativeKernel(ComputeKernel):
         return _PackedInt8Weight(data)
 
     def gemm_int8(self, a_q: np.ndarray, packed: _PackedInt8Weight) -> np.ndarray:
-        """Exact INT8 x INT8 -> INT32 GEMM over a packed weight operand."""
+        """Exact INT8 x INT8 -> INT32 GEMM over a packed weight operand.
+
+        ``a_q`` is a C-contiguous ``(m, k)`` int8 matrix.  The C routine
+        walks ``packed.panels`` one 32-column panel at a time and computes
+        8-row micro-tiles against it; row blocks are split across threads
+        (``_run_rows``), every thread reading the same panels.
+        """
         m = int(a_q.shape[0])
         acc = np.empty((m, packed.n), dtype=np.int32)
         if m == 0 or packed.n == 0:
             return acc
         k, n = packed.k, packed.n
-        a_ptr, bt_ptr = a_q.ctypes.data, packed.bt.ctypes.data
+        a_ptr, panels_ptr = a_q.ctypes.data, packed.panels.ctypes.data
         cs_ptr, acc_ptr = packed.colsum.ctypes.data, acc.ctypes.data
 
         def run(start: int, stop: int) -> None:
             self._lib.repro_gemm_s8(
-                a_ptr + start * k, bt_ptr, cs_ptr, acc_ptr + start * n * 4,
+                a_ptr + start * k, panels_ptr, cs_ptr, acc_ptr + start * n * 4,
                 stop - start, k, n,
             )
 

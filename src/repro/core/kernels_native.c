@@ -11,13 +11,22 @@
  * equal to numpy's, not merely close.  The int8 GEMM accumulates int8 x int8
  * products in int32 exactly; callers guard the contraction length so neither
  * the accumulator nor the 128 * colsum offset correction can overflow.
+ *
+ * int8 GEMM weight layout (built by _PackedInt8Weight): the (k, n) weight is
+ * cut into panels of 32 output columns, and each panel is stored as
+ * [ceil(k/4)][32][4] bytes — for every group of four k-steps, the 32
+ * columns' four consecutive weights, i.e. w[4q + t][32p + c] lives at byte
+ * (p * ceil(k/4) + q) * 128 + c * 4 + t.  k is zero-padded to a multiple of
+ * 4 and n to a multiple of 32.  One 64-byte load then feeds vpdpbusd 16
+ * columns x 4 k-steps, so the sums finish in vector lanes and no horizontal
+ * reduction is needed.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-#if defined(__AVX512VNNI__) && defined(__AVX512VL__)
+#if defined(__AVX512VNNI__)
 #include <immintrin.h>
 #define REPRO_GEMM_VNNI 1
 #elif defined(__AVX2__)
@@ -27,21 +36,12 @@
 #define EXPORT __attribute__((visibility("default")))
 
 /* ------------------------------------------------------------------ */
-/* int8 GEMM: a (m,k) row-major int8  x  bt (n,k) row-major int8       */
-/* (the weight is packed transposed so both operands stream along k).  */
-/* c (m,n) int32 = exact integer accumulation.                         */
+/* int8 GEMM: c (m,n) int32 = a (m,k) row-major int8 x w (k,n) int8,   */
+/* w packed in 32-column panels as described above.  Exact integers.   */
 /* ------------------------------------------------------------------ */
 
-#ifdef REPRO_GEMM_VNNI
-static inline int32_t hsum_epi32(__m256i v) {
-    __m128i lo = _mm256_castsi256_si128(v);
-    __m128i hi = _mm256_extracti128_si256(v, 1);
-    __m128i s = _mm_add_epi32(lo, hi);
-    s = _mm_hadd_epi32(s, s);
-    s = _mm_hadd_epi32(s, s);
-    return _mm_cvtsi128_si32(s);
-}
-#endif
+#define PANEL 32
+#define TILE_ROWS 8
 
 EXPORT int repro_gemm_impl(void) {
 #ifdef REPRO_GEMM_VNNI
@@ -51,135 +51,128 @@ EXPORT int repro_gemm_impl(void) {
 #endif
 }
 
-EXPORT void repro_gemm_s8(const int8_t *a, const int8_t *bt,
+#ifdef REPRO_GEMM_VNNI
+/* acc += va . b per 32-bit lane (unsigned x signed bytes, four per lane).
+ * Inline asm rather than _mm512_dpbusd_epi32: with the intrinsic, GCC 12
+ * copies every accumulator through a spare register on each k-step, which
+ * costs about a third of the kernel's throughput. */
+#define DPBUSD(ACC, VA, B)                                                     \
+    __asm__("vpdpbusd {%2, %1, %0|%0, %1, %2}"                                 \
+            : "+v"(ACC)                                                        \
+            : "v"(VA), "v"(B))
+
+/* One row of a micro-tile step: broadcast NBYTES (4, or the k tail's 1-3)
+ * activation bytes of row R at column KK, flip their sign bits and
+ * accumulate against the panel's two vectors.  Bytes past NBYTES stay zero
+ * and are never read; they meet the panel's zero padding, so they add
+ * nothing.  Rows at or beyond ROWS compile away. */
+#define TILE_ROW(R, KK, NBYTES)                                                \
+    if (ROWS > R) {                                                            \
+        int32_t a4 = 0;                                                        \
+        memcpy(&a4, a + (R) * k + (KK), (size_t)(NBYTES));                     \
+        const __m512i va = _mm512_xor_si512(_mm512_set1_epi32(a4), flip);     \
+        DPBUSD(acc##R##_0, va, b0);                                            \
+        DPBUSD(acc##R##_1, va, b1);                                            \
+    }
+#define TILE_STEP(KK, NBYTES)                                                  \
+    TILE_ROW(0, KK, NBYTES) TILE_ROW(1, KK, NBYTES) TILE_ROW(2, KK, NBYTES)    \
+    TILE_ROW(3, KK, NBYTES) TILE_ROW(4, KK, NBYTES) TILE_ROW(5, KK, NBYTES)    \
+    TILE_ROW(6, KK, NBYTES) TILE_ROW(7, KK, NBYTES)
+#define TILE_STORE(R)                                                          \
+    if (ROWS > R) {                                                            \
+        _mm512_mask_storeu_epi32(c + (R) * n, mask0,                           \
+                                 _mm512_sub_epi32(acc##R##_0, corr0));         \
+        _mm512_mask_storeu_epi32(c + (R) * n + 16, mask1,                      \
+                                 _mm512_sub_epi32(acc##R##_1, corr1));         \
+    }
+
+/* One micro-tile: ROWS (<= 8) rows of a against one 32-column panel, held
+ * in 2 * ROWS zmm accumulators.  vpdpbusd multiplies unsigned by signed
+ * bytes; flipping the sign bit of each activation byte (XOR 0x80) biases it
+ * by +128, which adds 128 * colsum[j] to every output — subtracted back as
+ * a vector (corr0/corr1) before the masked store.  Inlined per constant
+ * ROWS so the accumulators stay in registers. */
+static inline __attribute__((always_inline)) void
+gemm_tile_vnni(const int8_t *a, const int8_t *panel, __m512i corr0,
+               __m512i corr1, int32_t *c, int64_t k, int64_t n,
+               __mmask16 mask0, __mmask16 mask1, const int ROWS) {
+    const __m512i flip = _mm512_set1_epi32((int)0x80808080u);
+    __m512i acc0_0 = _mm512_setzero_si512(), acc0_1 = acc0_0;
+    __m512i acc1_0 = acc0_0, acc1_1 = acc0_0, acc2_0 = acc0_0, acc2_1 = acc0_0;
+    __m512i acc3_0 = acc0_0, acc3_1 = acc0_0, acc4_0 = acc0_0, acc4_1 = acc0_0;
+    __m512i acc5_0 = acc0_0, acc5_1 = acc0_0, acc6_0 = acc0_0, acc6_1 = acc0_0;
+    __m512i acc7_0 = acc0_0, acc7_1 = acc0_0;
+    const int64_t kfull = k / 4;
+    for (int64_t q = 0; q < kfull; ++q) {
+        const __m512i b0 = _mm512_loadu_si512((const void *)(panel + q * 128));
+        const __m512i b1 =
+            _mm512_loadu_si512((const void *)(panel + q * 128 + 64));
+        TILE_STEP(4 * q, 4)
+    }
+    if (k % 4) {
+        const __m512i b0 =
+            _mm512_loadu_si512((const void *)(panel + kfull * 128));
+        const __m512i b1 =
+            _mm512_loadu_si512((const void *)(panel + kfull * 128 + 64));
+        TILE_STEP(4 * kfull, k % 4)
+    }
+    TILE_STORE(0) TILE_STORE(1) TILE_STORE(2) TILE_STORE(3)
+    TILE_STORE(4) TILE_STORE(5) TILE_STORE(6) TILE_STORE(7)
+}
+#endif
+
+EXPORT void repro_gemm_s8(const int8_t *a, const int8_t *panels,
                           const int32_t *colsum, int32_t *c, int64_t m,
                           int64_t k, int64_t n) {
+    const int64_t panel_bytes = (k + 3) / 4 * 4 * PANEL;
+    /* Panel outer, rows inner: each panel is loaded into L1/L2 once and
+     * reused by every row of a. */
+    for (int64_t j0 = 0; j0 < n; j0 += PANEL) {
+        const int8_t *panel = panels + j0 / PANEL * panel_bytes;
+        const int width = n - j0 < PANEL ? (int)(n - j0) : PANEL;
 #ifdef REPRO_GEMM_VNNI
-    /* vpdpbusd multiplies unsigned by signed bytes; biasing A by +128
-     * (a bit-flip of the sign bit, i.e. XOR 0x80) makes it unsigned and
-     * adds 128 * sum_k bt[j][k] to every dot product, which the
-     * precomputed column sums subtract back out.  All intermediate sums
-     * fit int32 for the contraction lengths the Python caller admits.
-     *
-     * The main loop is tiled 4 rows x 4 columns: each B vector loaded from
-     * L2 feeds four A rows, quartering the dominant memory traffic. */
-    const __m256i flip = _mm256_set1_epi8((char)0x80);
-    int64_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-        const int8_t *ar[4];
-        for (int ii = 0; ii < 4; ++ii)
-            ar[ii] = a + (i + ii) * k;
-        int64_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const int8_t *br[4];
-            for (int jj = 0; jj < 4; ++jj)
-                br[jj] = bt + (j + jj) * k;
-            __m512i acc[4][4];
-            for (int ii = 0; ii < 4; ++ii)
-                for (int jj = 0; jj < 4; ++jj)
-                    acc[ii][jj] = _mm512_setzero_si512();
-            const __m512i flip512 = _mm512_set1_epi8((char)0x80);
-            int64_t kk = 0;
-            for (; kk + 64 <= k; kk += 64) {
-                __m512i va[4], vb;
-                for (int ii = 0; ii < 4; ++ii)
-                    va[ii] = _mm512_xor_si512(
-                        _mm512_loadu_si512((const void *)(ar[ii] + kk)),
-                        flip512);
-                for (int jj = 0; jj < 4; ++jj) {
-                    vb = _mm512_loadu_si512((const void *)(br[jj] + kk));
-                    acc[0][jj] = _mm512_dpbusd_epi32(acc[0][jj], va[0], vb);
-                    acc[1][jj] = _mm512_dpbusd_epi32(acc[1][jj], va[1], vb);
-                    acc[2][jj] = _mm512_dpbusd_epi32(acc[2][jj], va[2], vb);
-                    acc[3][jj] = _mm512_dpbusd_epi32(acc[3][jj], va[3], vb);
-                }
-            }
-            for (int ii = 0; ii < 4; ++ii) {
-                for (int jj = 0; jj < 4; ++jj) {
-                    int32_t s = _mm512_reduce_add_epi32(acc[ii][jj]);
-                    for (int64_t kt = kk; kt < k; ++kt) {
-                        int32_t au =
-                            (int32_t)(uint8_t)(ar[ii][kt] ^ (int8_t)0x80);
-                        s += au * br[jj][kt];
-                    }
-                    c[(i + ii) * n + j + jj] = s - 128 * colsum[j + jj];
-                }
-            }
+        const uint32_t cols =
+            width == PANEL ? 0xFFFFFFFFu : (1u << width) - 1; /* n tail */
+        const __mmask16 mask0 = (__mmask16)cols, mask1 = (__mmask16)(cols >> 16);
+        const __m512i corr0 = _mm512_slli_epi32(
+            _mm512_maskz_loadu_epi32(mask0, colsum + j0), 7);
+        const __m512i corr1 = _mm512_slli_epi32(
+            _mm512_maskz_loadu_epi32(mask1, colsum + j0 + 16), 7);
+        int64_t i = 0;
+        for (; i + TILE_ROWS <= m; i += TILE_ROWS)
+            gemm_tile_vnni(a + i * k, panel, corr0, corr1, c + i * n + j0, k,
+                           n, mask0, mask1, TILE_ROWS);
+        /* Row tail (m % 8): at most one 4-, one 2- and one 1-row tile. */
+        if (m - i >= 4) {
+            gemm_tile_vnni(a + i * k, panel, corr0, corr1, c + i * n + j0, k,
+                           n, mask0, mask1, 4);
+            i += 4;
         }
-        for (; j < n; ++j) { /* column tail: plain signed dot per row */
-            const int8_t *bj = bt + j * k;
-            for (int ii = 0; ii < 4; ++ii) {
-                int32_t acc0 = 0;
-                for (int64_t kk = 0; kk < k; ++kk)
-                    acc0 += (int32_t)ar[ii][kk] * bj[kk];
-                c[(i + ii) * n + j] = acc0;
-            }
+        if (m - i >= 2) {
+            gemm_tile_vnni(a + i * k, panel, corr0, corr1, c + i * n + j0, k,
+                           n, mask0, mask1, 2);
+            i += 2;
         }
-    }
-    for (; i < m; ++i) { /* row tail: single-row quad-column loop */
-        const int8_t *ar = a + i * k;
-        int32_t *cr = c + i * n;
-        int64_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const int8_t *b0 = bt + (j + 0) * k;
-            const int8_t *b1 = bt + (j + 1) * k;
-            const int8_t *b2 = bt + (j + 2) * k;
-            const int8_t *b3 = bt + (j + 3) * k;
-            __m256i acc0 = _mm256_setzero_si256();
-            __m256i acc1 = _mm256_setzero_si256();
-            __m256i acc2 = _mm256_setzero_si256();
-            __m256i acc3 = _mm256_setzero_si256();
-            int64_t kk = 0;
-            for (; kk + 32 <= k; kk += 32) {
-                __m256i va = _mm256_xor_si256(
-                    _mm256_loadu_si256((const __m256i *)(ar + kk)), flip);
-                acc0 = _mm256_dpbusd_epi32(
-                    acc0, va, _mm256_loadu_si256((const __m256i *)(b0 + kk)));
-                acc1 = _mm256_dpbusd_epi32(
-                    acc1, va, _mm256_loadu_si256((const __m256i *)(b1 + kk)));
-                acc2 = _mm256_dpbusd_epi32(
-                    acc2, va, _mm256_loadu_si256((const __m256i *)(b2 + kk)));
-                acc3 = _mm256_dpbusd_epi32(
-                    acc3, va, _mm256_loadu_si256((const __m256i *)(b3 + kk)));
-            }
-            int32_t s0 = hsum_epi32(acc0);
-            int32_t s1 = hsum_epi32(acc1);
-            int32_t s2 = hsum_epi32(acc2);
-            int32_t s3 = hsum_epi32(acc3);
-            for (; kk < k; ++kk) {
-                int32_t au = (int32_t)(uint8_t)(ar[kk] ^ (int8_t)0x80);
-                s0 += au * b0[kk];
-                s1 += au * b1[kk];
-                s2 += au * b2[kk];
-                s3 += au * b3[kk];
-            }
-            cr[j + 0] = s0 - 128 * colsum[j + 0];
-            cr[j + 1] = s1 - 128 * colsum[j + 1];
-            cr[j + 2] = s2 - 128 * colsum[j + 2];
-            cr[j + 3] = s3 - 128 * colsum[j + 3];
-        }
-        for (; j < n; ++j) { /* remaining columns: plain signed dot */
-            const int8_t *bj = bt + j * k;
-            int32_t acc = 0;
-            for (int64_t kk = 0; kk < k; ++kk)
-                acc += (int32_t)ar[kk] * bj[kk];
-            cr[j] = acc;
-        }
-    }
+        if (m - i >= 1)
+            gemm_tile_vnni(a + i * k, panel, corr0, corr1, c + i * n + j0, k,
+                           n, mask0, mask1, 1);
 #else
-    (void)colsum;
-    for (int64_t i = 0; i < m; ++i) {
-        const int8_t *ar = a + i * k;
-        int32_t *cr = c + i * n;
-        for (int64_t j = 0; j < n; ++j) {
-            const int8_t *bj = bt + j * k;
-            int32_t acc = 0;
-            for (int64_t kk = 0; kk < k; ++kk)
-                acc += (int32_t)ar[kk] * bj[kk];
-            cr[j] = acc;
+        /* Plain signed dot products over the same layout: no bias, so the
+         * column sums are not needed. */
+        (void)colsum;
+        for (int64_t i = 0; i < m; ++i) {
+            const int8_t *ar = a + i * k;
+            int32_t acc[PANEL] = {0};
+            for (int64_t kk = 0; kk < k; ++kk) {
+                const int8_t *bq = panel + kk / 4 * 4 * PANEL + kk % 4;
+                const int32_t av = ar[kk];
+                for (int cc = 0; cc < PANEL; ++cc)
+                    acc[cc] += av * bq[cc * 4];
+            }
+            memcpy(c + i * n + j0, acc, (size_t)width * sizeof(int32_t));
         }
-    }
 #endif
+    }
 }
 
 /* ------------------------------------------------------------------ */

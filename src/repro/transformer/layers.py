@@ -175,8 +175,8 @@ class Linear:
         elif self.precision == "int8":
             w_q = quantize(self.weight, num_bits=8)
             # The packed format is kernel-private: a float64 carrier of the
-            # exact quantised integers for the numpy kernel (BLAS-fast), a
-            # transposed int8 tensor + column sums for the native GEMM.
+            # exact quantised integers for the numpy kernel (BLAS-fast),
+            # 32-column VNNI panels + column sums for the native GEMM.
             operand = self._kernel_obj.pack_weight_int8(w_q.data)
             weight_scale = w_q.scale
         else:

@@ -8,8 +8,13 @@ toolchain skip the native-only classes; the registry/fallback tests run
 everywhere.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +47,11 @@ AVAILABLE_KERNELS = ["numpy"] + (["native"] if native_available() else [])
 
 def eq(a, b):
     return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+def exact_matmul(a, w):
+    """The int8 GEMM's oracle: the same product in int64, no rounding."""
+    return a.astype(np.int64) @ w.astype(np.int64)
 
 
 class TestRegistry:
@@ -306,6 +316,162 @@ class TestNativeOpParity:
             threaded.lut_gelu_bias(op, big.copy(), gelu_bias),
             single.lut_gelu_bias(op, big.copy(), gelu_bias),
         )
+
+
+@needs_native
+class TestNativeInt8Gemm:
+    """The panel-layout int8 GEMM against an exact int64 matmul.
+
+    Sweeps every tail the kernel handles — rows (m % 8), columns (n % 32)
+    and contraction steps (k % 4) — on both sides of each boundary, at the
+    BERT-base contraction lengths where the vector main loop does the work.
+    """
+
+    @pytest.fixture(scope="class")
+    def kernels(self):
+        return {1: NativeKernel(num_threads=1), 4: NativeKernel(num_threads=4)}
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 63, 64, 65, 768, 3072])
+    def test_shape_sweep(self, kernels, k):
+        rng = np.random.default_rng(k)
+        for n in (1, 15, 16, 31, 32, 33, 770):
+            w = rng.integers(-127, 128, size=(k, n), dtype=np.int8)
+            packed = kernels[1].pack_weight_int8(w)
+            for m in (1, 7, 8, 9, 130):
+                a = rng.integers(-127, 128, size=(m, k), dtype=np.int8)
+                want = exact_matmul(a, w)
+                for threads, kernel in kernels.items():
+                    got = kernel.gemm_int8(a, packed)
+                    assert got.dtype == np.int32
+                    assert np.array_equal(got, want), (m, k, n, threads)
+
+    def test_packing_round_trips_through_the_carrier(self, kernels):
+        rng = np.random.default_rng(1)
+        for k, n in ((1, 1), (3, 33), (65, 31), (64, 64)):
+            w = rng.integers(-128, 128, size=(k, n), dtype=np.int8)
+            packed = kernels[1].pack_weight_int8(w)
+            assert packed.panels.shape == (-(-n // 32), -(-k // 4), 32, 4)
+            assert np.array_equal(packed.carrier(), w)
+            assert np.array_equal(packed.colsum, w.sum(axis=0))
+
+    @pytest.mark.parametrize("k", [768, 3072])
+    def test_int8_extremes(self, kernels, k):
+        """+-127 everywhere: the largest sums the quantiser can produce."""
+        rng = np.random.default_rng(k + 1)
+        m, n = 9, 33
+        signs_a = rng.choice(np.array([-127, 127], dtype=np.int8), size=(m, k))
+        signs_w = rng.choice(np.array([-127, 127], dtype=np.int8), size=(k, n))
+        for a in (signs_a, np.full((m, k), 127, np.int8), np.full((m, k), -127, np.int8)):
+            for w in (signs_w, np.full((k, n), 127, np.int8), np.full((k, n), -127, np.int8)):
+                packed = kernels[1].pack_weight_int8(w)
+                for kernel in kernels.values():
+                    assert np.array_equal(kernel.gemm_int8(a, packed), exact_matmul(a, w))
+
+    def test_contraction_bound_counts_minus_128_weights(self, kernels):
+        """Regression: the int32 bound must hold for w = -128, not just +-127.
+
+        The biased accumulator sums (a + 128) * w; with a = 127 and w = -128
+        that is 255 * 128 per step.  At the bound the native GEMM is still
+        exact; one step past it the packer hands back the float64 carrier.
+        """
+        from repro.core.kernels import _GEMM_K_MAX
+
+        assert 255 * 128 * _GEMM_K_MAX <= 2**31 - 1 < 255 * 128 * (_GEMM_K_MAX + 1)
+        kernel = kernels[1]
+        a = np.full((8, _GEMM_K_MAX), 127, np.int8)
+        w = np.full((_GEMM_K_MAX, 2), -128, np.int8)
+        packed = kernel.pack_weight_int8(w)
+        assert not isinstance(packed, np.ndarray)
+        assert np.array_equal(kernel.gemm_int8(a, packed), exact_matmul(a, w))
+
+        w_over = np.full((_GEMM_K_MAX + 1, 2), -128, np.int8)
+        operand = kernel.pack_weight_int8(w_over)
+        assert isinstance(operand, np.ndarray) and operand.dtype == np.float64
+        x = np.ones((3, _GEMM_K_MAX + 1), dtype=np.float32)
+        assert eq(
+            kernel.linear_int8(x, operand, 0.5, np.float32),
+            NUMPY_KERNEL.linear_int8(
+                x, NUMPY_KERNEL.pack_weight_int8(w_over), 0.5, np.float32
+            ),
+        )
+
+    @pytest.mark.parametrize("m,k,n", [(128, 768, 3072), (256, 3072, 768)])
+    def test_linear_int8_bert_base_shapes(self, kernels, m, k, n):
+        """Native linear == numpy carrier linear, bitwise, at BERT-base size."""
+        rng = np.random.default_rng(m + k)
+        x = rng.normal(size=(m, k)).astype(np.float32)
+        w_q = rng.integers(-127, 128, size=(k, n), dtype=np.int8)
+        bias = rng.normal(size=n).astype(np.float32)
+        want = NUMPY_KERNEL.linear_int8(
+            x, NUMPY_KERNEL.pack_weight_int8(w_q), 0.011, np.float32, bias=bias
+        )
+        for kernel in kernels.values():
+            got = kernel.linear_int8(
+                x, kernel.pack_weight_int8(w_q), 0.011, np.float32, bias=bias
+            )
+            assert eq(got, want)
+
+
+_FALLBACK_SCRIPT = textwrap.dedent(
+    """
+    import numpy as np
+    from repro.core.kernels import NativeKernel, native_unavailable_reason
+
+    assert native_unavailable_reason() is None, native_unavailable_reason()
+    rng = np.random.default_rng(0)
+    for threads in (1, 4):
+        kernel = NativeKernel(num_threads=threads)
+        assert kernel.gemm_impl == 1, kernel.gemm_impl
+        for k in (1, 3, 4, 65, 768):
+            for n in (1, 31, 33, 770):
+                w = rng.integers(-128, 128, size=(k, n), dtype=np.int8)
+                packed = kernel.pack_weight_int8(w)
+                for m in (1, 9, 130):
+                    a = rng.integers(-127, 128, size=(m, k), dtype=np.int8)
+                    want = a.astype(np.int64) @ w.astype(np.int64)
+                    assert np.array_equal(kernel.gemm_int8(a, packed), want), (m, k, n)
+    print("fallback-ok")
+    """
+)
+
+
+class TestFallbackBuild:
+    """The non-VNNI build of the same source reads the same panel layout."""
+
+    NO_VNNI = ("-mno-avx512vnni", "-mno-avxvnni")
+
+    def test_scalar_gemm_exact_on_panel_layout(self, tmp_path):
+        from repro.core.kernels import _find_compiler
+
+        compiler = _find_compiler()
+        if compiler is None:
+            pytest.skip("no C compiler on this machine")
+        probe = subprocess.run(
+            [compiler, *self.NO_VNNI, "-x", "c", "-c", "-o", os.devnull, "-"],
+            input="int repro_probe;", capture_output=True, text=True,
+        )
+        if probe.returncode != 0:
+            pytest.skip(f"{compiler} does not accept {' '.join(self.NO_VNNI)}")
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(
+            os.environ,
+            # Appended, so a sanitizer build (scripts/sanitize.sh) also
+            # instruments the scalar path.
+            REPRO_KERNEL_CFLAGS=" ".join(
+                (os.environ.get("REPRO_KERNEL_CFLAGS", ""), *self.NO_VNNI)
+            ).strip(),
+            REPRO_KERNEL_CACHE_DIR=str(tmp_path / "kernels"),
+            REPRO_NATIVE_KERNEL="1",
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")])
+            ),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _FALLBACK_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert "fallback-ok" in proc.stdout
 
 
 @needs_native
