@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# One-stop pre-commit check: invariant static analysis + lint + benchmark
-# smoke.  Everything here also runs (or is gated) in tier-1; this script is
-# the fast local loop.
+# One-stop pre-commit check: no tracked bytecode, invariant static analysis,
+# lint and a benchmark smoke.  Everything here also runs (or is gated) in
+# tier-1; this script is the fast local loop.
 #
 #   ./scripts/check.sh                    # staticcheck + ruff (if installed) + bench smoke
 #   ./scripts/check.sh --fast             # staticcheck + ruff only (skip the bench smoke)
@@ -10,8 +10,8 @@
 #
 # Exit-code contract (CI keys off this; see repro/staticcheck/cli.py):
 #   0  everything passed
-#   1  staticcheck found a live finding or a stale baseline entry, or a
-#      downstream check (lint, bench smoke) failed
+#   1  git tracks a *.pyc file, staticcheck found a live finding or a stale
+#      baseline entry, or a downstream check (lint, bench smoke) failed
 #   2  staticcheck usage/environment error (e.g. a bad --diff ref)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,6 +30,16 @@ done
 STATICCHECK_ARGS=(src)
 if [[ -n "$DIFF_REF" ]]; then
     STATICCHECK_ARGS+=(--diff "$DIFF_REF")
+fi
+
+echo "== no tracked bytecode (.gitignore excludes __pycache__/)"
+if command -v git >/dev/null 2>&1 && git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    TRACKED_PYC="$(git ls-files '*.pyc')"
+    if [[ -n "$TRACKED_PYC" ]]; then
+        echo "tracked bytecode files (remove with git rm --cached):" >&2
+        echo "$TRACKED_PYC" >&2
+        exit 1
+    fi
 fi
 
 echo "== staticcheck (locks/races, lock-order deadlocks, blocking-under-lock,"

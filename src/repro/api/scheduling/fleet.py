@@ -487,10 +487,18 @@ class FleetManager:
         member.queued_cost += batch.cost
 
     def _steal(self, thief: ReplicaMember) -> Optional[FormedBatch]:
-        """One queued batch from the most backlogged peer (fleet lock held)."""
+        """One queued batch from the most backlogged peer (fleet lock held).
+
+        A *backlogged* peer is a busy one (a batch in flight) with batches
+        queued behind it.  A batch queued on an idle peer is left to that
+        peer's own worker, which the same ``notify_all`` already woke:
+        taking it would bounce a lone caller's requests between workers
+        and make every forward start on a cold replica.
+        """
         donors = [
             m for m in self._members.values()
-            if m is not thief and m.batches and not m.retired
+            if m is not thief and m.batches and m.in_flight_requests > 0
+            and not m.retired
         ]
         if not donors:
             return None

@@ -10,7 +10,10 @@ A :class:`Router` maps a formed batch to one live
   batch-for-batch and every float64 parity gate pins this router.
 * :class:`LeastLoadedRouter` — dispatch to the member with the smallest
   outstanding cost (queued + in-flight token count), with idle workers
-  stealing queued batches from backlogged peers.  Better tail latency
+  stealing queued batches from backlogged peers.  A *backlogged* peer is
+  a busy one — a batch in flight — with batches queued behind it; an idle
+  peer's queue is left to its own worker, so a lone caller stays on one
+  warm replica instead of bouncing between workers.  Better tail latency
   under skewed or bursty traffic, but *which replica serves a batch* now
   depends on timing — results stay bitwise-identical on the float
   engines (every replica serves the same frozen model), while the int8
@@ -42,7 +45,7 @@ class Router:
 
     #: Registry key and the name reported by ``ServingStats.router``.
     name: str = "abstract"
-    #: Whether idle workers may steal queued batches from loaded peers.
+    #: Whether idle workers may steal queued batches from backlogged peers.
     steal_when_idle: bool = False
 
     def select(self, members: List, batch) -> object:
@@ -76,8 +79,10 @@ class LeastLoadedRouter(Router):
 
     Ties break toward fewer queued batches, then the lowest replica id.
     Idle workers additionally steal queued batches from the most loaded
-    peer (``steal_when_idle``), so one slow replica cannot strand work
-    behind itself.
+    backlogged peer (``steal_when_idle``) — one that is busy serving a
+    batch with more queued behind it — so one slow replica cannot strand
+    work behind itself.  A batch queued on an idle peer is never stolen:
+    that peer's own worker takes it next.
     """
 
     name = "least_loaded"

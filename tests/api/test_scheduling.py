@@ -37,7 +37,13 @@ from repro.api import (
     ShardedPool,
     create_router,
 )
-from repro.api.scheduling import AdmissionController, BatchFormer, Pending, ServingFuture
+from repro.api.scheduling import (
+    AdmissionController,
+    BatchFormer,
+    FormedBatch,
+    Pending,
+    ServingFuture,
+)
 from repro.api.scheduling.admission import QueueFullError
 from repro.api.scheduling.stats import StatsBoard
 
@@ -78,11 +84,11 @@ def _fresh_pool(pool64, fast_registry, num_replicas=2):
     )
 
 
-def _wait_for_inflight(queue: ServingQueue, timeout: float = 5.0) -> None:
+def _wait_until(predicate, what: str, timeout: float = 5.0) -> None:
     deadline = time.monotonic() + timeout
-    while queue._inflight_batches == 0:
+    while not predicate():
         if time.monotonic() > deadline:
-            raise TimeoutError("no batch reached a worker in time")
+            raise TimeoutError(f"timed out waiting for {what}")
         time.sleep(0.001)
 
 
@@ -272,6 +278,90 @@ class TestRouterParity:
 
 
 # --------------------------------------------------------------------------- #
+# Work stealing (least-loaded router): only from busy, backlogged peers
+# --------------------------------------------------------------------------- #
+class TestWorkStealing:
+    def test_steal_skips_idle_donor_and_takes_from_busy_one(self, pool64):
+        # No worker threads: the steal rule is driven by hand under the lock.
+        queue = ServingQueue(pool64, router="least_loaded", start=False)
+        fleet = queue._fleet
+        try:
+            with fleet._cond:
+                donor, thief = (fleet._register(s) for s in pool64.sessions)
+                batch = FormedBatch([_pending(5)])
+                fleet._route(batch)  # equal loads: the lowest id wins
+                assert list(donor.batches) == [batch]
+                # The donor is idle: its own worker takes the batch next.
+                assert fleet._steal(thief) is None
+                assert thief.stolen == 0 and list(donor.batches) == [batch]
+                # Once the donor is serving, the queued batch is fair game.
+                donor.in_flight_requests += 1
+                assert fleet._steal(thief) is batch
+                assert thief.stolen == 1
+                assert not donor.batches and donor.queued_cost == 0
+                donor.in_flight_requests -= 1
+        finally:
+            queue.close()
+
+    def test_lone_caller_stays_on_one_replica(self, pool64, fast_registry):
+        pool = _fresh_pool(pool64, fast_registry)
+        rng = np.random.default_rng(3)
+        requests = [rng.integers(0, 100, size=8) for _ in range(32)]
+        with ServingQueue(pool, max_wait_ms=0.0, router="least_loaded") as queue:
+            for tokens in requests:
+                queue.serve_one(tokens, timeout=60)
+            stats = queue.stats()
+        assert sum(r.stolen for r in stats.replicas) == 0
+        assert [r.batches_served for r in stats.replicas] == [len(requests), 0]
+
+    def test_idle_replica_steals_from_busy_peer(
+        self, pool64, fast_registry, mixed_requests
+    ):
+        pool = _fresh_pool(pool64, fast_registry)
+        gates = [threading.Event(), threading.Event()]
+
+        def gate(replica: int):
+            inner = pool.sessions[replica].forward
+
+            def gated_forward(requests):
+                gates[replica].wait(30)
+                return inner(requests)
+
+            return gated_forward
+
+        for replica in (0, 1):
+            pool.sessions[replica].forward = gate(replica)  # type: ignore[method-assign]
+        short, long_ = mixed_requests[0], mixed_requests[4]  # 5 and 30 tokens
+        queue = ServingQueue(pool, max_wait_ms=0.0, router="least_loaded")
+        try:
+            first = queue.submit(short)  # equal loads -> replica 0, held
+            _wait_until(lambda: queue._inflight_batches == 1, "replica 0 busy")
+            second = queue.submit(long_)  # replica 1 is lighter, held too
+            _wait_until(lambda: queue._inflight_batches == 2, "replica 1 busy")
+            # Replica 0 now carries less cost (5 < 30): the third batch
+            # queues behind its in-flight one.
+            third = queue.submit(short)
+            _wait_until(
+                lambda: queue.stats().replicas[0].queued_batches == 1,
+                "a batch queued behind replica 0",
+            )
+            gates[1].set()  # replica 1 finishes and goes idle...
+            assert second.result(timeout=60).shape[0] == long_.size
+            # ...and takes the batch stranded behind busy replica 0.
+            assert third.result(timeout=60).shape[0] == short.size
+            assert not first.done()
+            gates[0].set()
+            assert first.result(timeout=60).shape[0] == short.size
+            stats = queue.stats()
+            assert [r.stolen for r in stats.replicas] == [0, 1]
+            assert [r.batches_served for r in stats.replicas] == [1, 2]
+        finally:
+            for event in gates:
+                event.set()
+            queue.close()
+
+
+# --------------------------------------------------------------------------- #
 # Live membership
 # --------------------------------------------------------------------------- #
 class TestMembership:
@@ -292,7 +382,7 @@ class TestMembership:
             # Deterministic routing: the first formed batch lands on replica 0,
             # whose forward is gated — it is now mid-service.
             first = queue.submit(mixed_requests[0])
-            _wait_for_inflight(queue)
+            _wait_until(lambda: queue._inflight_batches > 0, "a batch in flight")
 
             retired = threading.Event()
 
